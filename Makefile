@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 .PHONY: all build test test-debugarena race race-fedproto race-fed \
 	race-serve race-supervise race-stream soak vet bench bench-matmul \
 	bench-agg bench-codecs bench-json bench-json-smoke poison-smoke \
-	obs-smoke serve-smoke stream-smoke fuzz check
+	obs-smoke serve-smoke stream-smoke perfbench-test fuzz check
 
 all: build
 
@@ -42,7 +42,7 @@ race-fedproto:
 race-fed:
 	$(GO) test -race -count=1 ./internal/fed/...
 
-# The snapshot-isolated serving engine (swap-mid-storm, batching, HTTP)
+# The snapshot-isolated serving engine (swap-mid-storm, HTTP)
 # plus the facade's detect-while-training race regression, never from
 # cache.
 race-serve:
@@ -128,6 +128,11 @@ serve-smoke:
 stream-smoke:
 	sh scripts/stream-smoke.sh
 
+# The benchmark harness (its own module under perfbench/) builds against
+# the fedproto, serve and fexiot APIs; its tests catch a break there.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
 # Wire-protocol fuzzers (gob decode must error, never panic). FUZZTIME
 # bounds each target; raise it for long local runs.
 fuzz:
@@ -136,4 +141,4 @@ fuzz:
 
 check: build vet test test-debugarena race race-fedproto race-fed \
 	race-serve race-supervise race-stream soak poison-smoke bench-codecs \
-	bench-json-smoke obs-smoke serve-smoke stream-smoke
+	bench-json-smoke obs-smoke serve-smoke stream-smoke perfbench-test

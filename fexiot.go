@@ -286,7 +286,6 @@ func (s *System) TrainFederated(clientData [][]*Graph, algo FederatedAlgorithm,
 	clients := fed.NewClients(base, clientData, 0.005)
 	cfg := fed.DefaultConfig(s.opts.Seed)
 	cfg.Rounds = rounds
-	cfg.Eps1, cfg.Eps2 = 0.4, 0.95
 	cfg.Metrics = s.opts.Metrics
 	cfg.Codec = s.opts.Codec
 	res := a.Run(clients, cfg)
@@ -391,8 +390,7 @@ func (s *System) Evaluate(graphs []*Graph) (Metrics, error) {
 }
 
 // ServeOptions configures fexiot.Serve. The zero value serves on an
-// ephemeral port with worker count following the kernel parallelism bound
-// and no micro-batching.
+// ephemeral port with worker count following the kernel parallelism bound.
 type ServeOptions struct {
 	// Addr is the HTTP listen address (empty or ":0" picks a free port).
 	Addr string
@@ -402,11 +400,6 @@ type ServeOptions struct {
 	// QueueDepth bounds pending requests (0 = 4 × Workers); full queues
 	// make callers wait out their deadline instead of dropping work.
 	QueueDepth int
-	// BatchSize > 1 groups same-shape detect requests arriving within
-	// BatchWindow into one batched forward pass.
-	BatchSize int
-	// BatchWindow is the batch fill deadline (0 = 2ms).
-	BatchWindow time.Duration
 	// RequestTimeout bounds each HTTP request's queue wait + inference
 	// (0 = 30s).
 	RequestTimeout time.Duration
@@ -484,8 +477,6 @@ func Serve(ctx context.Context, sys *System, opts ServeOptions) (*Server, error)
 	eng := serve.NewEngine(serve.Options{
 		Workers:      opts.Workers,
 		QueueDepth:   opts.QueueDepth,
-		BatchSize:    opts.BatchSize,
-		BatchWindow:  opts.BatchWindow,
 		MaxBodyBytes: opts.MaxBodyBytes,
 		Metrics:      sys.opts.Metrics,
 	})

@@ -3,7 +3,6 @@ package autodiff
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"fexiot/internal/mat"
 )
@@ -60,7 +59,9 @@ func (p *ParamSet) NumLayers() int {
 	return max + 1
 }
 
-// LayerNames returns the names of parameters in layer l, sorted.
+// LayerNames returns the names of parameters in layer l in registration
+// order — the order FlattenLayer concatenates them in, so a layer shipped
+// tensor by tensor flattens to the same vector on both ends of the wire.
 func (p *ParamSet) LayerNames(l int) []string {
 	var out []string
 	for _, n := range p.names {
@@ -68,7 +69,6 @@ func (p *ParamSet) LayerNames(l int) []string {
 			out = append(out, n)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 

@@ -28,7 +28,7 @@ func TestParamSetStructure(t *testing.T) {
 	if p.LayerElements(0) != 6 || p.LayerElements(1) != 2 {
 		t.Fatal("LayerElements wrong")
 	}
-	if got := p.LayerNames(0); len(got) != 2 || got[0] != "l0.b" || got[1] != "l0.w" {
+	if got := p.LayerNames(0); len(got) != 2 || got[0] != "l0.w" || got[1] != "l0.b" {
 		t.Fatalf("LayerNames(0) = %v", got)
 	}
 	flat := p.FlattenLayer(1)

@@ -204,3 +204,22 @@ func TestConnFaults(t *testing.T) {
 		t.Fatal("peer read succeeded after Kill")
 	}
 }
+
+// TestConnDelay: SetDelay holds every read back by the armed delay.
+func TestConnDelay(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	f := NewConn(a)
+	f.SetDelay(50 * time.Millisecond)
+
+	go b.Write([]byte("hi"))
+	buf := make([]byte, 2)
+	start := time.Now()
+	if _, err := f.Read(buf); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d < 40*time.Millisecond {
+		t.Fatalf("read returned after %v, want ≥ ~50ms delay", d)
+	}
+}

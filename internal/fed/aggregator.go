@@ -317,7 +317,7 @@ func aggregatorOr(a Aggregator) Aggregator {
 
 // AggregateParams overwrites dst with the aggregate of the given parameter
 // sets under agg — the whole-model counterpart of autodiff.WeightedAverage
-// that every simulator algorithm routes through.
+// that the whole-model simulator algorithms route through.
 func AggregateParams(agg Aggregator, dst *autodiff.ParamSet, sets []*autodiff.ParamSet, weights []float64) {
 	if len(sets) != len(weights) {
 		panic("fed: AggregateParams length mismatch")
@@ -331,21 +331,4 @@ func AggregateParams(agg Aggregator, dst *autodiff.ParamSet, sets []*autodiff.Pa
 		vecs[i] = s.Flatten()
 	}
 	dst.SetFlatten(agg.Aggregate(vecs, weights))
-}
-
-// AggregateParamsLayer aggregates only layer l — the layer-wise counterpart
-// used by FexIoT's clustered recursion.
-func AggregateParamsLayer(agg Aggregator, dst *autodiff.ParamSet, sets []*autodiff.ParamSet, weights []float64, l int) {
-	if len(sets) != len(weights) {
-		panic("fed: AggregateParamsLayer length mismatch")
-	}
-	if _, ok := agg.(MeanAgg); ok || agg == nil {
-		autodiff.WeightedAverageLayer(dst, sets, weights, l)
-		return
-	}
-	vecs := make([][]float64, len(sets))
-	for i, s := range sets {
-		vecs[i] = s.FlattenLayer(l)
-	}
-	dst.SetFlattenLayer(l, agg.Aggregate(vecs, weights))
 }

@@ -6,8 +6,6 @@ import (
 	"fexiot/internal/mat"
 )
 
-var _ = math.Inf // math used by binaryCluster
-
 // --- FedAvg ----------------------------------------------------------------
 
 // FedAvg is classic federated averaging (McMahan et al.): every round each
@@ -126,12 +124,7 @@ func (a *clusteredFL) Run(clients []*Client, cfg Config) *Result {
 		}
 		var next [][]int
 		for _, cluster := range clusters {
-			split := false
-			if len(cluster) >= 2 {
-				norms, meanNorm := wholeModelUpdateNorms(clients, cluster)
-				split = gateFromNorms(norms, meanNorm, cfg)
-			}
-			if split {
+			if len(cluster) >= 2 && gate(wholeModelUpdates(clients, cluster), dataWeights(clients, cluster), cfg) {
 				c1, c2 := binaryCluster(signals, cluster)
 				if len(c2) > 0 {
 					next = append(next, c1, c2)
@@ -190,21 +183,29 @@ func clusterAssignment(n int, clusters [][]int) []int {
 	return out
 }
 
-// wholeModelUpdateNorms returns ‖ΔW_c‖ per cluster member plus the norm of
-// the data-weighted mean update.
-func wholeModelUpdateNorms(clients []*Client, cluster []int) ([]float64, float64) {
-	w := dataWeights(clients, cluster)
-	var mean []float64
-	norms := make([]float64, len(cluster))
+// wholeModelUpdates returns the flattened whole-model update ΔW of every
+// cluster member.
+func wholeModelUpdates(clients []*Client, cluster []int) [][]float64 {
+	out := make([][]float64, len(cluster))
 	for k, i := range cluster {
-		u := clients[i].Update().Flatten()
+		out[k] = clients[i].Update().Flatten()
+	}
+	return out
+}
+
+// gate applies Eq. (3) to one cluster's updates us, weighted by w: it
+// reads each member's update norm and the norm of the weighted mean update.
+func gate(us [][]float64, w []float64, cfg Config) bool {
+	var mean []float64
+	norms := make([]float64, len(us))
+	for k, u := range us {
 		norms[k] = mat.Norm2(u)
 		if mean == nil {
 			mean = make([]float64, len(u))
 		}
 		mat.Axpy(mean, u, w[k])
 	}
-	return norms, mat.Norm2(mean)
+	return gateFromNorms(norms, mat.Norm2(mean), cfg)
 }
 
 // gateFromNorms applies the Eq. (3) gate: the aggregate update is nearly

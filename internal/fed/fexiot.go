@@ -8,14 +8,7 @@ import (
 
 // FexIoT is the paper's dynamic layer-wise clustering-based federated GNN
 // aggregation (Algorithm 1). Each round, after local training, the server
-// walks the model bottom-up: for every current client cluster it evaluates
-// the Eq. (3) gate on that layer's updates; when the gate fires, the
-// cluster bipartitions by cosine similarity of the layer weights and each
-// half aggregates the layer separately (lines 13-17); otherwise the whole
-// cluster averages the layer (line 19). The recursion then descends into
-// the next layer within each (possibly split) cluster, so upper layers are
-// clustered at a finer grain than lower ones — matching the observation
-// that deep-model similarity decreases from the bottom up.
+// runs ClusterRound over the clients' layer weights and updates.
 //
 // Communication: layer-wise aggregation enables layer-wise traffic. A
 // client uploads a layer only while that layer still changes materially —
@@ -39,12 +32,19 @@ func NewFexIoT() *FexIoT {
 // Name identifies the algorithm.
 func (*FexIoT) Name() string { return "FexIoT" }
 
-// Run executes Algorithm 1.
+// Run executes Algorithm 1: each round trains locally, passes the updates
+// through the simulated wire codec, and hands every client's layer weights
+// and updates to ClusterRound — the same aggregation the networked server
+// runs. Staleness and byte accounting stay here; they are not aggregation.
 func (f *FexIoT) Run(clients []*Client, cfg Config) *Result {
 	res := &Result{}
 	sm := newSimMetrics(cfg.Metrics)
 	numLayers := clients[0].Model.Params().NumLayers()
-	var finalBottom [][]int
+	sizes := make([]int, len(clients))
+	for i, c := range clients {
+		sizes[i] = len(c.Train)
+	}
+	var leaves [][]int
 	cdc := simCodec(cfg.Codec)
 	for r := 0; r < cfg.Rounds; r++ {
 		sp := obs.StartSpan(sm.roundDur)
@@ -56,103 +56,121 @@ func (f *FexIoT) Run(clients []*Client, cfg Config) *Result {
 		if cdc != nil {
 			codecBytes = applySimCodec(clients, cdc, numLayers)
 		}
-		// Per-layer flattened weights and update norms.
-		layerWeights := make([][][]float64, numLayers) // [layer][client]
-		layerNorms := make([][]float64, numLayers)
-		for l := 0; l < numLayers; l++ {
-			layerWeights[l] = make([][]float64, len(clients))
-			layerNorms[l] = make([]float64, len(clients))
-			for i, c := range clients {
-				layerWeights[l][i] = c.Model.Params().FlattenLayer(l)
-				n := mat.Norm2(c.UpdateLayer(l))
-				layerNorms[l][i] = n
-				if f.peakNorm != nil && n > f.peakNorm[[2]int{i, l}] {
-					f.peakNorm[[2]int{i, l}] = n
-				}
-			}
-		}
-
-		var leafClusters [][]int
+		weights := make([][][]float64, len(clients)) // [client][layer]
+		updates := make([][][]float64, len(clients))
 		var commUp, commDown int64
-		// RecursiveClusteringAgg(l, C) of Algorithm 1.
-		var recurse func(l int, cluster []int)
-		recurse = func(l int, cluster []int) {
-			if l >= numLayers {
-				leafClusters = append(leafClusters, cluster)
-				return
-			}
-			layerElems := clients[cluster[0]].Model.Params().LayerElements(l)
-			// Upload accounting: members whose layer still moves (or that
-			// are being clustered) transmit it — at the codec's encoded wire
-			// size when one is active. Downloads are always dense: the
-			// server's models ship raw64 in the networked protocol too.
-			uploads := 0
-			for _, i := range cluster {
-				peak := 0.0
-				if f.peakNorm != nil {
-					peak = f.peakNorm[[2]int{i, l}]
+		for i, c := range clients {
+			p, u := c.Model.Params(), c.Update()
+			weights[i] = make([][]float64, numLayers)
+			updates[i] = make([][]float64, numLayers)
+			for l := 0; l < numLayers; l++ {
+				weights[i][l] = p.FlattenLayer(l)
+				updates[i][l] = u.FlattenLayer(l)
+				// Upload accounting: a client transmits a layer while it
+				// still moves — at the codec's encoded wire size when one is
+				// active. Downloads are always dense: the server's models
+				// ship raw64 in the networked protocol too.
+				n := mat.Norm2(updates[i][l])
+				key := [2]int{i, l}
+				if f.peakNorm != nil && n > f.peakNorm[key] {
+					f.peakNorm[key] = n
 				}
-				if f.StaleFrac == 0 || layerNorms[l][i] > f.StaleFrac*peak {
-					uploads++
+				if f.StaleFrac == 0 || n > f.StaleFrac*f.peakNorm[key] {
+					layerBytes := bytesFor(p.LayerElements(l))
 					if codecBytes != nil {
 						commUp += codecBytes[l][i]
+					} else {
+						commUp += layerBytes
 					}
+					commDown += layerBytes
 				}
 			}
-			if codecBytes == nil {
-				commUp += int64(uploads) * bytesFor(layerElems)
-			}
-			commDown += int64(uploads) * bytesFor(layerElems)
-
-			split := false
-			if len(cluster) >= 2 {
-				// Eq. (3) on this layer's updates within the cluster.
-				w := dataWeights(clients, cluster)
-				var meanUpdate []float64
-				norms := make([]float64, len(cluster))
-				for k, i := range cluster {
-					u := clients[i].Update().FlattenLayer(l)
-					norms[k] = mat.Norm2(u)
-					if meanUpdate == nil {
-						meanUpdate = make([]float64, len(u))
-					}
-					mat.Axpy(meanUpdate, u, w[k])
-				}
-				split = gateFromNorms(norms, mat.Norm2(meanUpdate), cfg)
-			}
-			if split {
-				// Lines 13-17: cosine similarity over layer weights, binary
-				// clustering, per-sub-cluster aggregation of this layer.
-				c1, c2 := binaryCluster(layerWeights[l], cluster)
-				if len(c2) > 0 {
-					f.averageLayer(clients, c1, l, cfg.Aggregator)
-					f.averageLayer(clients, c2, l, cfg.Aggregator)
-					recurse(l+1, c1)
-					recurse(l+1, c2)
-					return
-				}
-			}
-			// Line 19: aggregate the whole cluster at this layer.
-			f.averageLayer(clients, cluster, l, cfg.Aggregator)
-			recurse(l+1, cluster)
 		}
-		recurse(0, indexRange(len(clients)))
+		var aggs [][][]float64
+		aggs, leaves = ClusterRound(weights, updates, sizes, cfg, cfg.Aggregator)
+		for i, c := range clients {
+			for l, v := range aggs[i] {
+				c.Model.Params().SetFlattenLayer(l, v)
+			}
+		}
 
 		res.Comm.UploadBytes += commUp
 		res.Comm.DownloadBytes += commDown
 		info := RoundInfo{
 			Round:       r,
-			NumClusters: len(leafClusters),
+			NumClusters: len(leaves),
 			CommBytes:   commUp + commDown,
 		}
 		res.Rounds = append(res.Rounds, info)
 		sp.End()
 		sm.record(info)
-		finalBottom = leafClusters
 	}
 	res.Comm.Rounds = cfg.Rounds
-	res.FinalClusters = clusterAssignment(len(clients), finalBottom)
+	res.FinalClusters = clusterAssignment(len(clients), leaves)
 	return res
+}
+
+// ClusterRound is one aggregation round of Algorithm 1, shared by the
+// in-process simulator and the networked fedproto server. weights and
+// updates are indexed [client][layer]: each client's flattened layer
+// weights and its update ΔW on that layer; sizes are the clients' data
+// sizes for FedAvg weighting. Walking the layers bottom-up, every current
+// cluster evaluates the Eq. (3) gate on its members' layer updates; when
+// it fires, the cluster bipartitions by cosine similarity of the layer
+// weights and each half aggregates the layer separately (lines 13-17),
+// otherwise the whole cluster aggregates it (line 19). The recursion then
+// descends into the next layer within each cluster, so upper layers are
+// clustered at a finer grain than lower ones — deep-model similarity
+// decreases from the bottom up.
+//
+// It returns each client's aggregated layers, indexed like weights
+// (members of one cluster share a layer's slice, which callers must treat
+// as read-only), and the leaf clusters in depth-first order. agg combines
+// a cluster's layer weights; nil selects the FedAvg weighted mean.
+func ClusterRound(weights, updates [][][]float64, sizes []int, cfg Config,
+	agg Aggregator) ([][][]float64, [][]int) {
+	agg = aggregatorOr(agg)
+	all := indexRange(len(weights))
+	out := make([][][]float64, len(weights))
+	for i := range out {
+		out[i] = make([][]float64, len(weights[i]))
+	}
+	var leaves [][]int
+	var recurse func(l int, cluster []int)
+	recurse = func(l int, cluster []int) {
+		if l >= len(out[cluster[0]]) {
+			leaves = append(leaves, cluster)
+			return
+		}
+		parts := [][]int{cluster}
+		if len(cluster) >= 2 && gate(column(updates, cluster, l), QuorumWeights(sizes, cluster), cfg) {
+			if c1, c2 := binaryCluster(column(weights, all, l), cluster); len(c2) > 0 {
+				parts = [][]int{c1, c2}
+			}
+		}
+		for _, part := range parts {
+			v := agg.Aggregate(column(weights, part, l), QuorumWeights(sizes, part))
+			for _, i := range part {
+				out[i][l] = v
+			}
+		}
+		for _, part := range parts {
+			recurse(l+1, part)
+		}
+	}
+	if len(weights) > 0 {
+		recurse(0, all)
+	}
+	return out, leaves
+}
+
+// column gathers layer l of the idx clients' [client][layer] vectors.
+func column(vecs [][][]float64, idx []int, l int) [][]float64 {
+	out := make([][]float64, len(idx))
+	for k, i := range idx {
+		out[k] = vecs[i][l]
+	}
+	return out
 }
 
 // simCodec resolves a Config.Codec name to a lossy codec instance, or nil
@@ -204,19 +222,4 @@ func applySimCodec(clients []*Client, cdc codec.Codec, numLayers int) [][]int64 
 		}
 	})
 	return bytes
-}
-
-// averageLayer replaces layer l of every cluster member with the cluster's
-// aggregate of that layer (data-weighted mean under FedAvg, a robust
-// combination under the alternatives).
-func (f *FexIoT) averageLayer(clients []*Client, cluster []int, l int, agg Aggregator) {
-	if len(cluster) == 0 {
-		return
-	}
-	avg := clients[cluster[0]].Model.Params().Clone()
-	AggregateParamsLayer(aggregatorOr(agg), avg, paramsOf(clients, cluster),
-		dataWeights(clients, cluster), l)
-	for _, i := range cluster {
-		clients[i].Model.Params().CopyLayerFrom(avg, l)
-	}
 }

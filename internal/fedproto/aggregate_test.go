@@ -1,99 +1,102 @@
 package fedproto
 
 import (
+	"reflect"
 	"testing"
+
+	"fexiot/internal/fed"
 )
 
 // mkLayer builds a single-tensor layer payload around one weight vector.
-func mkLayer(layer int, data []float64, norm float64) LayerPayload {
+func mkLayer(layer int, data []float64) LayerPayload {
 	return LayerPayload{Layer: layer, Names: []string{"w"},
-		Shapes: [][2]int{{1, len(data)}}, Data: [][]float64{append([]float64(nil), data...)},
-		UpdateNorm: norm}
+		Shapes: [][2]int{{1, len(data)}}, Data: [][]float64{append([]float64(nil), data...)}}
 }
 
-// TestAggregateGateRegression pins the Eq. (3) clustering decision on
-// crafted payload splits. It is the regression test for the dead
-// weighted-mean accumulation bug: the gate now reads the FedAvg-weighted
-// mean direction (through the dispersion term) instead of computing and
-// discarding it.
-func TestAggregateGateRegression(t *testing.T) {
-	cfg := ServerConfig{NumLayers: 1, Eps1: 0.4, Eps2: 0.95}
-	sizes := []int{10, 10, 10, 10}
+// oneLayer lifts per-client vectors into ClusterRound's [client][layer]
+// shape for a single-layer model.
+func oneLayer(vecs ...[]float64) [][][]float64 {
+	out := make([][][]float64, len(vecs))
+	for i, v := range vecs {
+		out[i] = [][]float64{v}
+	}
+	return out
+}
 
-	// Two camps pulling in opposite directions while every member still
-	// moves: dispersion around the weighted mean is maximal, so the gate
-	// must fire and the cluster must split camp-by-camp.
-	diverging := [][]LayerPayload{
-		{mkLayer(0, []float64{1, 0}, 1)},
-		{mkLayer(0, []float64{0.9, 0.1}, 1)},
-		{mkLayer(0, []float64{-1, 0}, 1)},
-		{mkLayer(0, []float64{-0.9, -0.1}, 1)},
-	}
-	agg := newRoundAgg(cfg, nil, diverging, sizes)
-	replies := agg.run()
-	if len(agg.leaves) != 2 {
-		t.Fatalf("diverging camps: %d leaf clusters, want 2 (%v)", len(agg.leaves), agg.leaves)
-	}
-	wantLeaves := [][]int{{0, 1}, {2, 3}}
-	for k, want := range wantLeaves {
-		got := agg.leaves[k]
-		if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-			t.Fatalf("leaf %d = %v, want %v", k, got, want)
-		}
+// TestAggregateGateRegression pins the Eq. (3) clustering decision of the
+// round both the simulator and the wire server run, on explicit update
+// vectors: the gate reads the members' update norms and the norm of their
+// FedAvg-weighted mean update, and the split follows the layer weights.
+func TestAggregateGateRegression(t *testing.T) {
+	cfg := fed.Config{Eps1: 0.4, Eps2: 0.95}
+	sizes := []int{10, 10, 10, 10}
+	weights := oneLayer([]float64{1, 0}, []float64{0.9, 0.1}, []float64{-1, 0}, []float64{-0.9, -0.1})
+
+	// Two camps whose updates pull in opposite directions while every
+	// member still moves: the weighted mean update nearly cancels, so the
+	// gate must fire and the cluster must split camp by camp.
+	diverging := oneLayer([]float64{1, 0}, []float64{1, 0.1}, []float64{-1, 0}, []float64{-1, -0.1})
+	aggs, leaves := fed.ClusterRound(weights, diverging, sizes, cfg, nil)
+	if want := [][]int{{0, 1}, {2, 3}}; !reflect.DeepEqual(leaves, want) {
+		t.Fatalf("diverging camps: leaves %v, want %v", leaves, want)
 	}
 	// Each camp averages only its own members.
-	if got := replies[0][0].Data[0][0]; got != 0.95 {
+	if got := aggs[0][0][0]; got != 0.95 {
 		t.Fatalf("camp A mean = %v, want 0.95", got)
 	}
-	if got := replies[2][0].Data[0][0]; got != -0.95 {
+	if got := aggs[2][0][0]; got != -0.95 {
 		t.Fatalf("camp B mean = %v, want -0.95", got)
 	}
 
-	// Aligned clients: everyone moves the same way, dispersion is tiny,
-	// the gate stays shut and the whole federation averages together.
-	aligned := [][]LayerPayload{
-		{mkLayer(0, []float64{1, 0.00}, 1)},
-		{mkLayer(0, []float64{1, 0.01}, 1)},
-		{mkLayer(0, []float64{1, 0.02}, 1)},
-		{mkLayer(0, []float64{1, 0.03}, 1)},
+	// Aligned updates: everyone moves the same way, the mean update is as
+	// long as the members', the gate stays shut and the whole federation
+	// averages together — however far apart the weights sit.
+	aligned := oneLayer([]float64{1, 0}, []float64{1, 0.01}, []float64{1, 0.02}, []float64{1, 0.03})
+	aggs, leaves = fed.ClusterRound(weights, aligned, sizes, cfg, nil)
+	if len(leaves) != 1 || len(leaves[0]) != 4 {
+		t.Fatalf("aligned updates: leaves %v, want one cluster of 4", leaves)
 	}
-	agg = newRoundAgg(cfg, nil, aligned, sizes)
-	agg.run()
-	if len(agg.leaves) != 1 || len(agg.leaves[0]) != 4 {
-		t.Fatalf("aligned clients: leaves %v, want one cluster of 4", agg.leaves)
+	for i := 1; i < 4; i++ {
+		if !reflect.DeepEqual(aggs[i][0], aggs[0][0]) {
+			t.Fatalf("client %d aggregate %v, client 0 %v: want one shared mean", i, aggs[i][0], aggs[0][0])
+		}
 	}
 
-	// No movement at all (zero reported norms): the gate must not fire no
-	// matter how the weights are arranged.
-	still := [][]LayerPayload{
-		{mkLayer(0, []float64{1, 0}, 0)},
-		{mkLayer(0, []float64{-1, 0}, 0)},
-		{mkLayer(0, []float64{0, 1}, 0)},
-		{mkLayer(0, []float64{0, -1}, 0)},
-	}
-	agg = newRoundAgg(cfg, nil, still, sizes)
-	agg.run()
-	if len(agg.leaves) != 1 {
-		t.Fatalf("stationary clients: leaves %v, want one cluster", agg.leaves)
+	// No movement at all (zero updates): the gate must not fire no matter
+	// how the weights are arranged.
+	still := oneLayer([]float64{0, 0}, []float64{0, 0}, []float64{0, 0}, []float64{0, 0})
+	if _, leaves = fed.ClusterRound(weights, still, sizes, cfg, nil); len(leaves) != 1 {
+		t.Fatalf("stationary clients: leaves %v, want one cluster", leaves)
 	}
 }
 
 // TestGlobalMeanWeighting pins the rejoin-replay model: the global mean is
 // the size-weighted average over every responder, shared with the
-// fed simulator's QuorumWeights rule.
+// fed simulator's QuorumWeights rule, and each responder's reply is its
+// cluster's aggregate split back into the payload's tensors.
 func TestGlobalMeanWeighting(t *testing.T) {
-	cfg := ServerConfig{NumLayers: 1}
-	payloads := [][]LayerPayload{
-		{mkLayer(0, []float64{0, 0}, 0)},
-		{mkLayer(0, []float64{4, 8}, 0)},
+	layers := [][]LayerPayload{
+		{mkLayer(0, []float64{0, 0})},
+		{mkLayer(0, []float64{4, 8})},
 	}
-	agg := newRoundAgg(cfg, nil, payloads, []int{30, 10})
-	global := agg.globalMean()
+	bases := [][]LayerPayload{
+		{mkLayer(0, []float64{0, 0})},
+		{mkLayer(0, []float64{0, 0})},
+	}
+	replies, global := aggregateRound(layers, bases, []int{30, 10},
+		fed.Config{Eps1: 0.4, Eps2: 0.95}, fed.MeanAgg{})
 	if len(global) != 1 {
 		t.Fatalf("global layers %d, want 1", len(global))
 	}
 	// Weights 0.75/0.25 → 0.25·{4,8} = {1,2}.
-	if global[0].Data[0][0] != 1 || global[0].Data[0][1] != 2 {
-		t.Fatalf("global mean %v, want [1 2]", global[0].Data[0])
+	if got := global[0].Data[0]; got[0] != 1 || got[1] != 2 {
+		t.Fatalf("global mean %v, want [1 2]", got)
+	}
+	// One client never moved, so the gate stays shut: both replies carry
+	// the same whole-federation aggregate.
+	for k, r := range replies {
+		if len(r) != 1 || r[0].Names[0] != "w" || r[0].Data[0][0] != 1 || r[0].Data[0][1] != 2 {
+			t.Fatalf("reply %d = %+v, want layer 0 tensor w = [1 2]", k, r)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fexiot/internal/autodiff"
+	"fexiot/internal/chaos"
 	"fexiot/internal/mat"
 )
 
@@ -43,8 +44,10 @@ func addDelta(p *autodiff.ParamSet, d float64) {
 	}
 }
 
-// zeroNorms reports no layer movement, keeping the clustering gate shut so
-// every round is a plain FedAvg the tests can predict.
+// zeroNorms is the per-layer norm report scripted clients return. The
+// server computes exact updates and ignores it; scripted updates all point
+// the same way, so the clustering gate stays shut and every round is a
+// plain FedAvg the tests can predict.
 func zeroNorms(p *autodiff.ParamSet) map[int]float64 {
 	out := map[int]float64{}
 	for l := 0; l < p.NumLayers(); l++ {
@@ -99,9 +102,9 @@ func TestQuorumSurvivesKilledClient(t *testing.T) {
 				clientErrs[id] = err
 				return
 			}
-			var fc *FaultConn
+			var fc *chaos.Conn
 			if id == 3 {
-				fc = NewFaultConn(raw)
+				fc = chaos.NewConn(raw)
 				raw = fc
 			}
 			conn := Wrap(raw)
@@ -224,7 +227,7 @@ func TestEvictionAndRejoinResync(t *testing.T) {
 		defer wg.Done()
 		p := scriptParams()
 		params[2] = p
-		var fc *FaultConn
+		var fc *chaos.Conn
 		dials := 0
 		blackholed := false
 		stats[2], errs[2] = RunClientSession(context.Background(), ClientConfig{
@@ -241,7 +244,7 @@ func TestEvictionAndRejoinResync(t *testing.T) {
 				}
 				dials++
 				if dials == 1 {
-					fc = NewFaultConn(raw)
+					fc = chaos.NewConn(raw)
 					return fc, nil
 				}
 				return raw, nil

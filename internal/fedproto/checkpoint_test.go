@@ -128,8 +128,8 @@ func TestCheckpointCorruptionMatrix(t *testing.T) {
 		}
 	})
 
-	t.Run("legacy footer-less file loads", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "fed.ckpt")
+	t.Run("footer-less file is rejected and rolls back", func(t *testing.T) {
+		path := save2(t)
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(testCheckpoint(5)); err != nil {
 			t.Fatal(err)
@@ -137,13 +137,12 @@ func TestCheckpointCorruptionMatrix(t *testing.T) {
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ck, err := LoadCheckpoint(path)
-		if err != nil || ck.Round != 5 {
-			t.Fatalf("legacy load = %+v, %v; want round 5", ck, err)
+		if _, err := LoadCheckpoint(path); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Fatalf("footer-less file loaded: %v", err)
 		}
 		ck, from, err := LoadLatestCheckpoint(path)
-		if err != nil || ck.Round != 5 || from != path {
-			t.Fatalf("LoadLatest legacy = round %d from %q, %v", ck.Round, from, err)
+		if err != nil || ck.Round != 1 || from != path+PrevSuffix {
+			t.Fatalf("rollback = round %d from %q, %v; want 1 from .prev", ck.Round, from, err)
 		}
 	})
 

@@ -19,8 +19,9 @@ const (
 )
 
 // RunClientLoop drives one client over an established connection: it sends
-// hello, waits for the server's sync reply (the round to resume at plus,
-// for rejoiners, the current aggregated model), then for each round trains
+// hello with the client's current weights, waits for the server's sync
+// reply (the round to resume at plus the federation's current model, which
+// it installs), then for each round trains
 // locally via the callback, ships all layers, and installs the aggregated
 // reply. localRound must run one round of local training and return the
 // per-layer update norms. The round counter always follows the server's
@@ -38,9 +39,9 @@ func RunClientLoop(ctx context.Context, conn *Conn, clientID, dataSize int,
 
 // runClientLoop is RunClientLoop with an explicit codec offer: the schemes
 // advertised in the hello, in preference order (nil offers everything this
-// build supports). The server's sync reply assigns one; lossy schemes make
-// the loop keep a clone of each model the server sends (the delta base) and
-// echo its ModelSeq stamp with every update.
+// build supports). The server's sync reply assigns one. The loop keeps a
+// clone of the last model the server sent (the base) and echoes its
+// ModelSeq stamp with every update; lossy schemes encode deltas against it.
 func runClientLoop(ctx context.Context, conn *Conn, clientID, dataSize int,
 	params *autodiff.ParamSet, offered []string,
 	localRound func(round int) map[int]float64) error {
@@ -49,8 +50,13 @@ func runClientLoop(ctx context.Context, conn *Conn, clientID, dataSize int,
 	if offered == nil {
 		offered = codec.Names()
 	}
+	layers := make([]int, params.NumLayers())
+	for i := range layers {
+		layers[i] = i
+	}
 	if err := conn.Send(&Message{Kind: MsgHello, ClientID: clientID,
-		DataSize: dataSize, Codecs: offered}); err != nil {
+		DataSize: dataSize, Codecs: offered,
+		Layers: EncodeLayers(params, layers, nil)}); err != nil {
 		return loopErr(ctx, err)
 	}
 	syncMsg, err := conn.Recv()
@@ -66,27 +72,15 @@ func runClientLoop(ctx context.Context, conn *Conn, clientID, dataSize int,
 		// with plain raw64 updates — always a legal encoding.
 		cdc, _ = codec.New(codec.Raw64)
 	}
-	lossy := cdc.Name() != codec.Raw64
-	// base/baseSeq name the last server model snapshot, the reference lossy
-	// deltas are encoded against. No snapshot yet → dense raw64 fallback.
-	var base *autodiff.ParamSet
-	var baseSeq uint64
-	if len(syncMsg.Layers) > 0 {
-		if err := ApplyLayers(params, syncMsg.Layers); err != nil {
-			return err
-		}
-	}
-	if lossy && syncMsg.ModelSeq != 0 {
-		base = params.Clone()
-		baseSeq = syncMsg.ModelSeq
+	if err := ApplyLayers(params, syncMsg.Layers); err != nil {
+		return err
 	}
 	if syncMsg.Final {
 		return nil
 	}
-	layers := make([]int, params.NumLayers())
-	for i := range layers {
-		layers[i] = i
-	}
+	// base/baseSeq name the last server model snapshot: the model the next
+	// update trains from.
+	base, baseSeq := params.Clone(), syncMsg.ModelSeq
 	for round := syncMsg.Round; ; {
 		if err := ctx.Err(); err != nil {
 			return context.Cause(ctx)
@@ -94,10 +88,7 @@ func runClientLoop(ctx context.Context, conn *Conn, clientID, dataSize int,
 		norms := localRound(round)
 		lay, scheme, isDelta := encodeUpdate(params, base, layers, norms, cdc)
 		up := &Message{Kind: MsgUpdate, ClientID: clientID, Round: round,
-			Layers: lay, Codec: scheme, Delta: isDelta}
-		if isDelta {
-			up.BaseSeq = baseSeq
-		}
+			Layers: lay, Codec: scheme, Delta: isDelta, BaseSeq: baseSeq}
 		if err := conn.Send(up); err != nil {
 			return loopErr(ctx, err)
 		}
@@ -114,14 +105,8 @@ func runClientLoop(ctx context.Context, conn *Conn, clientID, dataSize int,
 		if err := ApplyLayers(params, reply.Layers); err != nil {
 			return err
 		}
-		if lossy {
-			if reply.ModelSeq != 0 {
-				base = params.Clone()
-				baseSeq = reply.ModelSeq
-			} else {
-				base, baseSeq = nil, 0
-			}
-		}
+		base.CopyFrom(params)
+		baseSeq = reply.ModelSeq
 		if reply.Final {
 			return nil
 		}

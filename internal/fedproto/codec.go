@@ -12,21 +12,22 @@ import (
 // Negotiation: a client's MsgHello advertises the schemes it can encode
 // (Message.Codecs); the server answers in the sync MsgModel with its
 // assignment (Message.Codec) — its configured scheme when the client
-// offers it, raw64 otherwise. Pre-codec peers interoperate for free: an
-// old client advertises nothing and is assigned raw64, and an old server
-// assigns nothing, which a new client reads as raw64.
+// offers it, raw64 otherwise. A client advertising nothing is assigned
+// raw64, and a server assigning nothing is read as raw64.
+//
+// Bases: the server stamps every MsgModel it sends — the sync reply
+// included, which carries the round-0 model adopted from the first hello —
+// with a session-unique ModelSeq and remembers the last few snapshots per
+// client. Every update echoes the stamp of the model it trained from as
+// BaseSeq, so the server computes the client's exact update ΔW against
+// that base even when a reply and the next update cross on the wire. An
+// update naming an unknown base is rejected as malformed — never
+// misapplied.
 //
 // Delta semantics: lossy schemes (f32, q8, topk) only ever encode
-// element-wise deltas against a model the server previously sent — deltas
-// are small and centred near zero, which is what makes quantisation and
-// sparsification cheap in accuracy. The server stamps every MsgModel it
-// sends with a session-unique ModelSeq and remembers the last few
-// snapshots per client; a delta update echoes the stamp as BaseSeq, so the
-// server reconstructs against the exact base the client encoded against
-// even when a reply and the next update cross on the wire. An update with
-// no shared base (a fresh round-0 join, or a server that never stamped a
-// model) falls back to dense raw64, and a delta naming an unknown base is
-// rejected as malformed — never misapplied.
+// element-wise deltas against the base — deltas are small and centred near
+// zero, which is what makes quantisation and sparsification cheap in
+// accuracy. raw64 ships dense absolute weights.
 //
 // Every MsgUpdate is self-describing (Codec, Delta, BaseSeq), so the
 // server decodes whatever arrives regardless of what it assigned;
@@ -48,13 +49,11 @@ func negotiateCodec(preferred string, offered []string) string {
 
 // encodeUpdate builds one round's update payloads under the negotiated
 // codec: per-tensor deltas of p against base under a lossy scheme, or the
-// legacy dense raw64 layers when the scheme is raw64 or no base is shared
-// yet. It returns the payloads, the wire scheme name (empty for raw64,
-// keeping raw64 frames byte-identical to pre-codec clients) and whether
-// the values are deltas.
+// dense raw64 layers. It returns the payloads, the wire scheme name (empty
+// for raw64) and whether the values are deltas.
 func encodeUpdate(p, base *autodiff.ParamSet, layers []int, norms map[int]float64,
 	cdc codec.Codec) ([]LayerPayload, string, bool) {
-	if cdc == nil || cdc.Name() == codec.Raw64 || base == nil {
+	if cdc.Name() == codec.Raw64 {
 		return EncodeLayers(p, layers, norms), "", false
 	}
 	out := make([]LayerPayload, 0, len(layers))
@@ -83,9 +82,12 @@ func encodeUpdate(p, base *autodiff.ParamSet, layers []int, norms map[int]float6
 // Data exactly as a raw64 client would have sent it, so ValidateUpdate,
 // CheckFiniteUpdate, the shape pin and every aggregator run unchanged.
 // base is the model snapshot the update's BaseSeq names (nil when the
-// update is not a delta). Remote input that fails any check is rejected
-// with an error wrapping ErrMalformedUpdate.
+// server remembers no such snapshot). Remote input that fails any check is
+// rejected with an error wrapping ErrMalformedUpdate.
 func decodeUpdate(m *Message, base []LayerPayload) error {
+	if base == nil {
+		return fmt.Errorf("%w: update against unknown base %d", ErrMalformedUpdate, m.BaseSeq)
+	}
 	scheme := m.Codec
 	if scheme == "" {
 		scheme = codec.Raw64
@@ -104,9 +106,6 @@ func decodeUpdate(m *Message, base []LayerPayload) error {
 	cdc, err := codec.New(scheme)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrMalformedUpdate, err)
-	}
-	if m.Delta && base == nil {
-		return fmt.Errorf("%w: delta update against unknown base %d", ErrMalformedUpdate, m.BaseSeq)
 	}
 	for l := range m.Layers {
 		pl := &m.Layers[l]

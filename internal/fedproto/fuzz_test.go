@@ -87,14 +87,17 @@ func FuzzDecodeUpdate(f *testing.F) {
 }
 
 // FuzzDecodeHello drives arbitrary bytes through the admission handshake's
-// decode and field uses. Malformed hellos must be rejected or ignored, never
-// crash the accept loop.
+// decode, model check and field uses. Malformed hellos must be rejected or
+// ignored, never crash the accept loop.
 func FuzzDecodeHello(f *testing.F) {
 	f.Add(encodeFrame(f, &Message{Kind: MsgHello, ClientID: 3, DataSize: 42}))
 	f.Add(encodeFrame(f, &Message{Kind: MsgHello, ClientID: -1, DataSize: -7}))
 	f.Add(encodeFrame(f, &Message{Kind: MsgUpdate, ClientID: 1}))
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0x02})
+	p := scriptParams()
+	f.Add(encodeFrame(f, &Message{Kind: MsgHello, ClientID: 2, DataSize: 10,
+		Layers: EncodeLayers(p, []int{0, 1}, nil)}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Message
@@ -103,6 +106,13 @@ func FuzzDecodeHello(f *testing.F) {
 		}
 		if m.Kind != MsgHello {
 			return // admit closes the socket on anything but a hello
+		}
+		// The hello's model may become the round-0 model: it must pass the
+		// update checks and the shape pin, and only then be flattened.
+		if err := NewServer(ServerConfig{NumLayers: 2}).checkModel(&m); err == nil {
+			for _, pl := range m.Layers {
+				_ = flatten(pl)
+			}
 		}
 		// The fields admit consumes: registration key and FedAvg weight. A
 		// lying DataSize feeds the weighting rule, which must stay total.

@@ -3,6 +3,9 @@ package fedproto
 import (
 	"context"
 	"errors"
+	"math"
+	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -114,15 +117,16 @@ func TestServerRejectsBadUpdates(t *testing.T) {
 				done <- err
 			}()
 
-			good := dialHello(t, addr, 0, 10)
+			good, goodSeq := dialHello(t, addr, 0, 10, goodLayers())
 			defer good.Close()
-			badConn := dialHello(t, addr, 1, 10)
+			badConn, badSeq := dialHello(t, addr, 1, 10, goodLayers())
 			defer badConn.Close()
 
 			if err := good.Send(&Message{Kind: MsgUpdate, ClientID: 0, Round: 0,
-				Layers: goodLayers()}); err != nil {
+				BaseSeq: goodSeq, Layers: goodLayers()}); err != nil {
 				t.Fatalf("good update: %v", err)
 			}
+			tc.msg.BaseSeq = badSeq
 			if err := badConn.Send(tc.msg); err != nil {
 				t.Fatalf("bad update: %v", err)
 			}
@@ -146,4 +150,68 @@ func TestServerRejectsBadUpdates(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestHelloModelRefusedNotAdopted pins the round-0 model's admission: the
+// first admitted hello's weights become the federation's model, so a hello
+// whose model is non-finite or wrongly shaped is dropped like a non-hello
+// and never adopted, and later hellos are held to the pinned shapes.
+func TestHelloModelRefusedNotAdopted(t *testing.T) {
+	addr := freeAddr(t)
+	srv := NewServer(ServerConfig{Addr: addr, Clients: 2, Rounds: 1, NumLayers: 2,
+		RoundTimeout: 5 * time.Second})
+	done := make(chan error, 1)
+	go func() {
+		_, err := srv.Run(context.Background())
+		done <- err
+	}()
+	defer func() {
+		srv.Stop()
+		<-done
+	}()
+
+	nan := goodLayers()
+	nan[1].Data[0][1] = math.NaN()
+	short := goodLayers()[:1]
+	wide := goodLayers()
+	wide[0] = LayerPayload{Layer: 0, Names: []string{"w"}, Shapes: [][2]int{{1, 3}},
+		Data: [][]float64{{1, 2, 3}}}
+	refused := func(name string, model []LayerPayload) {
+		t.Helper()
+		var raw net.Conn
+		var err error
+		for try := 0; try < 50; try++ {
+			if raw, err = net.Dial("tcp", addr); err == nil {
+				break
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		c := Wrap(raw)
+		defer c.Close()
+		c.SetOpDeadline(5 * time.Second)
+		if err := c.Send(&Message{Kind: MsgHello, ClientID: 9, DataSize: 10, Layers: model}); err != nil {
+			t.Fatalf("%s hello: %v", name, err)
+		}
+		if m, err := c.Recv(); err == nil {
+			t.Fatalf("%s hello admitted: sync %+v", name, m)
+		}
+	}
+	refused("non-finite", nan)
+	refused("short", short)
+	refused("no model", nil)
+
+	// The first valid hello becomes the round-0 model, exactly as sent.
+	good, _ := dialHello(t, addr, 0, 10, goodLayers())
+	defer good.Close()
+	srv.mu.Lock()
+	global := srv.global
+	srv.mu.Unlock()
+	if !reflect.DeepEqual(global, goodLayers()) {
+		t.Fatalf("round-0 model %+v, want the first valid hello's %+v", global, goodLayers())
+	}
+	// Its shapes are pinned: a hello of another layout is refused too.
+	refused("pinned-shape mismatch", wide)
 }

@@ -26,7 +26,7 @@ type MsgKind int
 
 // Protocol message kinds.
 const (
-	MsgHello  MsgKind = iota // client → server: join with dataset size
+	MsgHello  MsgKind = iota // client → server: join with dataset size and current weights
 	MsgUpdate                // client → server: layer payloads after local training
 	MsgModel                 // server → client: aggregated layer payloads
 	MsgDone                  // server → client: training finished
@@ -42,26 +42,29 @@ type LayerPayload struct {
 	Names  []string
 	Shapes [][2]int
 	Data   [][]float64
-	// UpdateNorm is ‖ΔW_l‖ of the client's last local round, used by the
-	// server's clustering gate without shipping the previous weights.
+	// UpdateNorm is ‖ΔW_l‖ of the client's last local round as the client
+	// reports it. The server computes exact updates against the update's
+	// base and does not read it.
 	UpdateNorm float64
 	// Enc carries the codec-encoded tensors of a non-raw64 update, one per
 	// name, in Names order.
 	Enc []codec.Tensor
 }
 
-// Message is the single wire envelope. The codec fields gob-encode to
-// nothing at their zero values, so raw64 traffic stays byte-compatible
-// with pre-codec peers in both directions.
+// Message is the single wire envelope; fields at their zero values
+// gob-encode to nothing.
 type Message struct {
 	Kind     MsgKind
 	ClientID int
 	DataSize int // |G_c| for FedAvg weighting (MsgHello)
 	Round    int
-	Final    bool           // set on the last MsgModel of a session
-	Layers   []LayerPayload // MsgUpdate / MsgModel
+	Final    bool // set on the last MsgModel of a session
+	// Layers carries every layer: the client's current weights (MsgHello),
+	// its weights after local training (MsgUpdate) or the aggregated model
+	// (MsgModel).
+	Layers []LayerPayload
 	// Codecs (MsgHello) advertises the update schemes the client can
-	// encode, in preference order; absent for pre-codec clients.
+	// encode, in preference order; absent means raw64 only.
 	Codecs []string
 	// Codec names the scheme: on the sync MsgModel it is the server's
 	// assignment for the session's updates, on a MsgUpdate it declares how
@@ -71,8 +74,8 @@ type Message struct {
 	// model snapshot BaseSeq names.
 	Delta bool
 	// ModelSeq (MsgModel) identifies this model snapshot session-uniquely;
-	// BaseSeq (MsgUpdate) echoes the stamp of the model a delta update was
-	// encoded against.
+	// BaseSeq (MsgUpdate) echoes the stamp of the model the update trained
+	// from.
 	ModelSeq uint64
 	BaseSeq  uint64
 }
@@ -284,16 +287,22 @@ func ValidateUpdate(m *Message, numLayers int) error {
 	if m.Kind != MsgUpdate {
 		return fmt.Errorf("%w: message kind %d, want MsgUpdate", ErrMalformedUpdate, m.Kind)
 	}
-	if len(m.Layers) != numLayers {
-		return fmt.Errorf("%w: %d layer payloads, want %d", ErrMalformedUpdate, len(m.Layers), numLayers)
+	return validateLayers(m.Layers, numLayers)
+}
+
+// validateLayers is ValidateUpdate's payload check, shared with the hello
+// model: dense tensors only, consistent with their names and shapes.
+func validateLayers(layers []LayerPayload, numLayers int) error {
+	if len(layers) != numLayers {
+		return fmt.Errorf("%w: %d layer payloads, want %d", ErrMalformedUpdate, len(layers), numLayers)
 	}
-	for l, pl := range m.Layers {
+	for l, pl := range layers {
 		if pl.Layer != l {
 			return fmt.Errorf("%w: payload %d carries layer id %d", ErrMalformedUpdate, l, pl.Layer)
 		}
-		if len(pl.Names) != len(pl.Shapes) || len(pl.Names) != len(pl.Data) {
-			return fmt.Errorf("%w: layer %d has %d names, %d shapes, %d tensors",
-				ErrMalformedUpdate, l, len(pl.Names), len(pl.Shapes), len(pl.Data))
+		if len(pl.Names) != len(pl.Shapes) || len(pl.Names) != len(pl.Data) || len(pl.Enc) != 0 {
+			return fmt.Errorf("%w: layer %d has %d names, %d shapes, %d dense and %d encoded tensors",
+				ErrMalformedUpdate, l, len(pl.Names), len(pl.Shapes), len(pl.Data), len(pl.Enc))
 		}
 		for i, sh := range pl.Shapes {
 			if sh[0] < 0 || sh[1] < 0 || len(pl.Data[i]) != sh[0]*sh[1] {

@@ -13,7 +13,6 @@ import (
 
 	"fexiot/internal/fed"
 	"fexiot/internal/fedproto/codec"
-	"fexiot/internal/mat"
 	"fexiot/internal/obs"
 	"fexiot/internal/supervise"
 )
@@ -74,8 +73,8 @@ type ServerConfig struct {
 	Aggregator fed.Aggregator
 	// Codec is the update scheme the server prefers clients to use
 	// ("raw64", "f32", "q8", "topk"); each session gets it iff the client's
-	// hello advertises it, raw64 otherwise. Empty selects raw64 — the dense
-	// legacy wire format, byte-identical to pre-codec servers.
+	// hello advertises it, raw64 otherwise. Empty selects raw64, dense
+	// float64 weights.
 	Codec string
 	// CheckpointPath, when set, makes the server durable: every
 	// CheckpointEvery closed rounds it gob-snapshots the round number,
@@ -472,7 +471,7 @@ func (s *Server) admit(raw net.Conn) {
 	c.Instrument(s.metrics.bytesIn, s.metrics.bytesOut)
 	s.recvDeadline(c)
 	hello, err := c.Recv()
-	if err != nil || hello.Kind != MsgHello {
+	if err != nil || hello.Kind != MsgHello || s.checkModel(hello) != nil {
 		raw.Close()
 		return
 	}
@@ -510,20 +509,21 @@ func (s *Server) admit(raw net.Conn) {
 	// A fresh session starts from the sync model; bases the previous
 	// session encoded against are dead weight.
 	st.bases, st.baseOrder = nil, nil
-	// Sync reply: the round to resume at plus the current aggregated
-	// model (nil before the first round closes — fresh joiners start from
-	// their own initialisation like the in-process simulator). A server
-	// resumed past its final round tells the client the federation is
-	// already over. The reply also assigns the session's update codec and,
-	// when a model ships, stamps it as a delta base.
-	syncMsg := &Message{Kind: MsgModel, Round: s.round, Layers: s.global,
-		Codec: st.codec,
-		Final: s.cfg.Rounds > 0 && s.round >= s.cfg.Rounds}
-	if len(s.global) > 0 {
-		s.seq++
-		syncMsg.ModelSeq = s.seq
-		st.rememberBase(s.seq, s.global)
+	// Before any round closes, the first admitted hello's weights become
+	// the federation's round-0 model: every client starts from it, as
+	// simulator clients start from fed.NewClients' common base.
+	if s.global == nil {
+		s.global = hello.Layers
 	}
+	// Sync reply: the round to resume at plus the current model, stamped
+	// as the base the client's next update is measured against. A server
+	// resumed past its final round tells the client the federation is
+	// already over. The reply also assigns the session's update codec.
+	s.seq++
+	syncMsg := &Message{Kind: MsgModel, Round: s.round, Layers: s.global,
+		Codec: st.codec, ModelSeq: s.seq,
+		Final: s.cfg.Rounds > 0 && s.round >= s.cfg.Rounds}
+	st.rememberBase(s.seq, s.global)
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
@@ -575,6 +575,7 @@ type recvResult struct {
 	st     *clientState
 	conn   *Conn
 	layers []LayerPayload
+	base   []LayerPayload // the model the update was trained from
 	err    error
 }
 
@@ -619,12 +620,9 @@ func (s *Server) runRound(round int) error {
 			// Reconstruct dense absolute weights from whatever codec the
 			// update declares before any further validation — downstream
 			// checks and the aggregator only ever see raw64-shaped data.
-			var base []LayerPayload
-			if m.Delta {
-				s.mu.Lock()
-				base = r.st.bases[m.BaseSeq]
-				s.mu.Unlock()
-			}
+			s.mu.Lock()
+			base := r.st.bases[m.BaseSeq]
+			s.mu.Unlock()
 			if err := decodeUpdate(m, base); err != nil {
 				r.err = err
 				return
@@ -641,7 +639,7 @@ func (s *Server) runRound(round int) error {
 				r.err = err
 				return
 			}
-			r.layers = m.Layers
+			r.layers, r.base = m.Layers, base
 			scheme := m.Codec
 			if scheme == "" {
 				scheme = codec.Raw64
@@ -657,7 +655,7 @@ func (s *Server) runRound(round int) error {
 	wg.Wait()
 
 	var responders []*clientState
-	var upd [][]LayerPayload
+	var upd, bases [][]LayerPayload
 	var sizes []int
 	var errs []error
 	s.mu.Lock()
@@ -666,6 +664,7 @@ func (s *Server) runRound(round int) error {
 		if r.err == nil {
 			responders = append(responders, r.st)
 			upd = append(upd, r.layers)
+			bases = append(bases, r.base)
 			sizes = append(sizes, r.st.size)
 			if r.st.conn == r.conn {
 				r.st.strikes = 0
@@ -695,20 +694,18 @@ func (s *Server) runRound(round int) error {
 	s.mu.Unlock()
 
 	need := quorumCount(s.quorumFrac(), len(live))
-	if len(responders) < need {
+	if len(responders) < need || len(responders) == 0 {
 		s.metrics.quorumLost.Inc()
 		errs = append([]error{fmt.Errorf("fedproto: round %d: %w (%d/%d updates, quorum %d)",
 			round, ErrQuorumLost, len(responders), len(live), need)}, errs...)
 		return errors.Join(errs...)
 	}
 
-	// Layer-wise clustering aggregation over the responders, mirroring
-	// fed.FexIoT with the same FedAvg quorum weighting; the configured
-	// aggregator decides how each cluster's layer weights combine.
-	agg := newRoundAgg(s.cfg, s.aggregator(), upd, sizes)
+	// Layer-wise clustering aggregation over the responders, with the
+	// same fed.ClusterRound the simulator runs.
 	asp := obs.StartSpan(s.metrics.aggDur)
-	replies := agg.run()
-	global := agg.globalMean()
+	replies, global := aggregateRound(upd, bases, sizes,
+		fed.Config{Eps1: s.cfg.Eps1, Eps2: s.cfg.Eps2}, s.aggregator())
 	asp.End()
 
 	s.mu.Lock()
@@ -789,6 +786,19 @@ func (s *Server) checkShapes(m *Message) error {
 	return nil
 }
 
+// checkModel admits a hello's model — remote input that may become the
+// federation's round-0 model — under the same layer checks, finiteness scan
+// and shape pin as an update.
+func (s *Server) checkModel(hello *Message) error {
+	if err := validateLayers(hello.Layers, s.cfg.NumLayers); err != nil {
+		return err
+	}
+	if err := CheckFiniteUpdate(hello); err != nil {
+		return err
+	}
+	return s.checkShapes(hello)
+}
+
 // closeAll releases every accepted socket and stops further admissions.
 func (s *Server) closeAll() {
 	s.mu.Lock()
@@ -814,185 +824,51 @@ func (s *Server) totalBytes() int64 {
 	return total
 }
 
-// --- Round aggregation -------------------------------------------------------
-
-// roundAgg runs one round of the layer-wise clustering aggregation
-// (Algorithm 1) over the validated updates of the round's responders. It
-// is connection-free so tests can pin clustering decisions on crafted
-// payloads.
-type roundAgg struct {
-	cfg      ServerConfig
-	agg      fed.Aggregator
-	payloads [][]LayerPayload // [responder][layer]
-	sizes    []int
-	flats    map[[2]int][]float64 // (responder, layer) → flattened weights
-	leaves   [][]int              // bottom-layer clusters (diagnostics/tests)
-}
-
-func newRoundAgg(cfg ServerConfig, agg fed.Aggregator, payloads [][]LayerPayload, sizes []int) *roundAgg {
-	if agg == nil {
-		agg = fed.MeanAgg{}
-	}
-	return &roundAgg{cfg: cfg, agg: agg, payloads: payloads, sizes: sizes,
-		flats: map[[2]int][]float64{}}
-}
-
-// run aggregates every layer and returns one reply (all layers) per
-// responder.
-func (a *roundAgg) run() [][]LayerPayload {
-	replies := make([][]LayerPayload, len(a.payloads))
-	a.aggregate(0, indexRange(len(a.payloads)), replies)
-	return replies
-}
-
-// globalMean is the whole-population weighted mean of every layer — the
-// model replayed to (re)joining clients so they resync with the
-// federation regardless of which cluster they will land in.
-func (a *roundAgg) globalMean() []LayerPayload {
-	all := indexRange(len(a.payloads))
-	out := make([]LayerPayload, 0, a.cfg.NumLayers)
-	for l := 0; l < a.cfg.NumLayers; l++ {
-		out = append(out, a.average(all, l))
-	}
-	return out
-}
-
-// flat memoises the flattened layer weights of one responder.
-func (a *roundAgg) flat(i, layer int) []float64 {
-	key := [2]int{i, layer}
-	if f, ok := a.flats[key]; ok {
-		return f
-	}
-	f := flatten(a.payloads[i][layer])
-	a.flats[key] = f
-	return f
-}
-
-// aggregate recursively clusters and averages one layer, then descends.
-func (a *roundAgg) aggregate(layer int, cluster []int, replies [][]LayerPayload) {
-	if layer >= a.cfg.NumLayers {
-		a.leaves = append(a.leaves, cluster)
-		return
-	}
-	// Gate: relative Eq. (3) over the clients' reported update norms and
-	// the FedAvg-weighted mean direction. The server has no previous
-	// weights, so the dispersion of the current weights around their
-	// weighted mean stands in for update-direction disagreement:
-	// ‖Σ w ΔW‖ ≈ avg‖ΔW‖·(1 − dispersion).
-	split := false
-	if len(cluster) >= 2 {
-		avg, maxN := 0.0, 0.0
-		for _, i := range cluster {
-			n := a.payloads[i][layer].UpdateNorm
-			avg += n
-			if n > maxN {
-				maxN = n
+// aggregateRound runs one round of Algorithm 1 over the responders'
+// validated updates: fed.ClusterRound, fed each responder's weights and its
+// exact update against the base it trained from. It returns one reply (all
+// layers) per responder plus the whole-federation aggregate of every layer
+// — the model replayed to (re)joining clients so they resync regardless of
+// which cluster they will land in.
+func aggregateRound(layers, bases [][]LayerPayload, sizes []int, cfg fed.Config,
+	agg fed.Aggregator) (replies [][]LayerPayload, global []LayerPayload) {
+	weights := make([][][]float64, len(layers)) // [responder][layer]
+	updates := make([][][]float64, len(layers))
+	for k := range layers {
+		for l := range layers[k] {
+			w, b := flatten(layers[k][l]), flatten(bases[k][l])
+			u := make([]float64, len(w))
+			for j := range w {
+				u[j] = w[j] - b[j]
 			}
-		}
-		avg /= float64(len(cluster))
-		if avg > 0 {
-			disp := a.dispersion(cluster, layer)
-			split = disp > 0 &&
-				maxN > a.cfg.Eps2*avg && avg*(1-disp) < a.cfg.Eps1*avg
+			weights[k] = append(weights[k], w)
+			updates[k] = append(updates[k], u)
 		}
 	}
-	if split {
-		c1, c2 := a.binaryCluster(cluster, layer)
-		if len(c2) > 0 {
-			a.averageInto(c1, layer, replies)
-			a.averageInto(c2, layer, replies)
-			a.aggregate(layer+1, c1, replies)
-			a.aggregate(layer+1, c2, replies)
-			return
+	aggs, _ := fed.ClusterRound(weights, updates, sizes, cfg, agg)
+	tmpl := layers[0]
+	replies = make([][]LayerPayload, len(layers))
+	for k := range aggs {
+		for l, v := range aggs[k] {
+			replies[k] = append(replies[k], unflatten(tmpl[l], v))
 		}
 	}
-	a.averageInto(cluster, layer, replies)
-	a.aggregate(layer+1, cluster, replies)
+	all := make([]int, len(layers))
+	for k := range all {
+		all[k] = k
+	}
+	w := fed.QuorumWeights(sizes, all)
+	for l := range tmpl {
+		vecs := make([][]float64, len(weights))
+		for k := range weights {
+			vecs[k] = weights[k][l]
+		}
+		global = append(global, unflatten(tmpl[l], agg.Aggregate(vecs, w)))
+	}
+	return replies, global
 }
 
-// dispersion is the weighted-mean cosine disagreement of the cluster: the
-// mean (1 − cosine) between each member's layer weights and the
-// FedAvg-weighted cluster mean.
-func (a *roundAgg) dispersion(cluster []int, layer int) float64 {
-	w := fed.QuorumWeights(a.sizes, cluster)
-	var mean []float64
-	for k, i := range cluster {
-		f := a.flat(i, layer)
-		if mean == nil {
-			mean = make([]float64, len(f))
-		}
-		mat.Axpy(mean, f, w[k])
-	}
-	var d float64
-	for _, i := range cluster {
-		d += 1 - mat.CosineSimilarity(a.flat(i, layer), mean)
-	}
-	return d / float64(len(cluster))
-}
-
-// binaryCluster splits by cosine similarity of layer weights.
-func (a *roundAgg) binaryCluster(cluster []int, layer int) ([]int, []int) {
-	seedA, seedB := cluster[0], cluster[1]
-	worst := 2.0
-	for x := 0; x < len(cluster); x++ {
-		for y := x + 1; y < len(cluster); y++ {
-			sim := mat.CosineSimilarity(a.flat(cluster[x], layer), a.flat(cluster[y], layer))
-			if sim < worst {
-				worst = sim
-				seedA, seedB = cluster[x], cluster[y]
-			}
-		}
-	}
-	var c1, c2 []int
-	for _, i := range cluster {
-		if mat.CosineSimilarity(a.flat(i, layer), a.flat(seedA, layer)) >=
-			mat.CosineSimilarity(a.flat(i, layer), a.flat(seedB, layer)) {
-			c1 = append(c1, i)
-		} else {
-			c2 = append(c2, i)
-		}
-	}
-	// Match the in-process semantics: singleton clusters fragment the
-	// federation, so keep the cluster whole instead.
-	if len(c1) < 2 || len(c2) < 2 {
-		return cluster, nil
-	}
-	return c1, c2
-}
-
-// average returns the cluster's layer aggregate under the configured
-// aggregator (the quorum-weighted mean under FedAvg). The flattened layer
-// is aggregated as one vector — Krum's distance scores need the whole
-// layer, not per-tensor fragments — then split back along tensor bounds.
-func (a *roundAgg) average(cluster []int, layer int) LayerPayload {
-	w := fed.QuorumWeights(a.sizes, cluster)
-	vecs := make([][]float64, len(cluster))
-	for k, i := range cluster {
-		vecs[k] = a.flat(i, layer)
-	}
-	aggVec := a.agg.Aggregate(vecs, w)
-	tmpl := a.payloads[cluster[0]][layer]
-	avg := LayerPayload{Layer: tmpl.Layer, Names: tmpl.Names, Shapes: tmpl.Shapes}
-	off := 0
-	for di := range tmpl.Data {
-		n := len(tmpl.Data[di])
-		avg.Data = append(avg.Data, append([]float64(nil), aggVec[off:off+n]...))
-		off += n
-	}
-	return avg
-}
-
-// averageInto writes the weighted layer mean into every member's reply.
-func (a *roundAgg) averageInto(cluster []int, layer int, replies [][]LayerPayload) {
-	if len(cluster) == 0 {
-		return
-	}
-	avg := a.average(cluster, layer)
-	for _, i := range cluster {
-		replies[i] = append(replies[i], avg)
-	}
-}
-
+// flatten concatenates a layer's tensors in payload order.
 func flatten(p LayerPayload) []float64 {
 	var out []float64
 	for _, d := range p.Data {
@@ -1001,10 +877,14 @@ func flatten(p LayerPayload) []float64 {
 	return out
 }
 
-func indexRange(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
+// unflatten splits a flattened layer back along tmpl's tensor bounds. The
+// tensors alias v.
+func unflatten(tmpl LayerPayload, v []float64) LayerPayload {
+	pl := LayerPayload{Layer: tmpl.Layer, Names: tmpl.Names, Shapes: tmpl.Shapes}
+	off := 0
+	for _, d := range tmpl.Data {
+		pl.Data = append(pl.Data, v[off:off+len(d):off+len(d)])
+		off += len(d)
 	}
-	return out
+	return pl
 }

@@ -9,8 +9,10 @@ import (
 	"time"
 )
 
-// dialHello connects to the server and completes the hello handshake.
-func dialHello(t *testing.T, addr string, id, size int) *Conn {
+// dialHello connects to the server, completes the hello handshake with
+// model as the client's current weights, and returns the connection plus
+// the stamp of the synced model its first update must name as BaseSeq.
+func dialHello(t *testing.T, addr string, id, size int, model []LayerPayload) (*Conn, uint64) {
 	t.Helper()
 	var raw net.Conn
 	var err error
@@ -25,10 +27,14 @@ func dialHello(t *testing.T, addr string, id, size int) *Conn {
 		t.Fatalf("dial: %v", err)
 	}
 	c := Wrap(raw)
-	if err := c.Send(&Message{Kind: MsgHello, ClientID: id, DataSize: size}); err != nil {
+	if err := c.Send(&Message{Kind: MsgHello, ClientID: id, DataSize: size, Layers: model}); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
-	return c
+	sync, err := c.Recv()
+	if err != nil || sync.Kind != MsgModel {
+		t.Fatalf("sync reply: %v %+v", err, sync)
+	}
+	return c, sync.ModelSeq
 }
 
 // TestServerHungClientFailsRound is the regression test for the blocking
@@ -55,13 +61,15 @@ func TestServerHungClientFailsRound(t *testing.T) {
 		done <- err
 	}()
 
-	good := dialHello(t, addr, 0, 10)
+	model := []LayerPayload{{Layer: 0, Names: []string{"w"}, Shapes: [][2]int{{1, 2}},
+		Data: [][]float64{{0, 0}}}}
+	good, seq := dialHello(t, addr, 0, 10, model)
 	defer good.Close()
-	hung := dialHello(t, addr, 1, 10)
+	hung, _ := dialHello(t, addr, 1, 10, model)
 	defer hung.Close()
 
 	// The good client ships a round-0 update; the hung client sends nothing.
-	up := &Message{Kind: MsgUpdate, ClientID: 0, Round: 0, Layers: []LayerPayload{{
+	up := &Message{Kind: MsgUpdate, ClientID: 0, Round: 0, BaseSeq: seq, Layers: []LayerPayload{{
 		Layer: 0, Names: []string{"w"}, Shapes: [][2]int{{1, 2}},
 		Data: [][]float64{{1, 2}}, UpdateNorm: 1,
 	}}}
@@ -109,13 +117,20 @@ func TestServerSurfacesEveryFailedClient(t *testing.T) {
 		done <- err
 	}()
 
+	model := []LayerPayload{{Layer: 0, Names: []string{"w"}, Shapes: [][2]int{{1, 1}},
+		Data: [][]float64{{0}}}}
 	conns := make([]*Conn, 3)
+	var seq uint64
 	for id := 0; id < 3; id++ {
-		conns[id] = dialHello(t, addr, id, 5)
+		var s uint64
+		conns[id], s = dialHello(t, addr, id, 5, model)
 		defer conns[id].Close()
+		if id == 0 {
+			seq = s
+		}
 	}
 	// Client 0 sends a well-formed update; clients 1 and 2 both go silent.
-	up := &Message{Kind: MsgUpdate, ClientID: 0, Round: 0, Layers: []LayerPayload{{
+	up := &Message{Kind: MsgUpdate, ClientID: 0, Round: 0, BaseSeq: seq, Layers: []LayerPayload{{
 		Layer: 0, Names: []string{"w"}, Shapes: [][2]int{{1, 1}},
 		Data: [][]float64{{3}}, UpdateNorm: 1,
 	}}}

@@ -34,8 +34,8 @@ var ErrOverloaded = errors.New("serve: overloaded, queue full")
 var ErrPanicked = errors.New("serve: inference panicked")
 
 // Options tunes the engine. The zero value is usable: worker count follows
-// mat.Parallelism (the dense-kernel sizing discipline), the queue holds
-// 4× workers, batching is off.
+// mat.Parallelism (the dense-kernel sizing discipline) and the queue holds
+// 4× workers.
 type Options struct {
 	// Workers bounds the concurrent inference goroutines (0 = the current
 	// mat.Parallelism setting).
@@ -45,14 +45,6 @@ type Options struct {
 	// ErrOverloaded — overload degrades into fast, explicit rejections the
 	// caller can back off from, never into silent queueing until timeout.
 	QueueDepth int
-	// BatchSize > 1 enables micro-batching: a worker that dequeues a
-	// detect request drains up to BatchSize−1 more same-shape (equal node
-	// count) detect requests arriving within BatchWindow and answers them
-	// with one batched forward pass.
-	BatchSize int
-	// BatchWindow is how long a worker waits to fill a batch (0 = 2ms,
-	// only meaningful when BatchSize > 1).
-	BatchWindow time.Duration
 	// MaxBodyBytes bounds HTTP request bodies on the mounted endpoints
 	// (0 = 1 MiB); oversized bodies are rejected with 413.
 	MaxBodyBytes int64
@@ -76,13 +68,6 @@ func (o Options) queueDepth() int {
 		return o.QueueDepth
 	}
 	return 4 * o.workers()
-}
-
-func (o Options) batchWindow() time.Duration {
-	if o.BatchWindow > 0 {
-		return o.BatchWindow
-	}
-	return 2 * time.Millisecond
 }
 
 func (o Options) maxBodyBytes() int64 {
@@ -332,19 +317,15 @@ func (e *Engine) workerLoop(ctx context.Context) error {
 	}
 }
 
-// process answers one dequeued request, micro-batching same-shape detect
-// requests when enabled. The snapshot is loaded exactly once per batch, so
-// every request in it — and each individual request — is answered by a
-// single consistent model even if Publish lands mid-flight. The returned
-// error is non-nil only when inference panicked (the request was still
-// answered); it propagates to the supervisor.
+// process answers one dequeued request. The snapshot is loaded exactly
+// once, so the request is answered by a single consistent model even if
+// Publish lands mid-flight. The returned error is non-nil only when
+// inference panicked (the request was still answered); it propagates to
+// the supervisor.
 func (e *Engine) process(r *request, ws *gnn.Workspace) error {
 	if r.ctx != nil && r.ctx.Err() != nil {
 		r.done <- response{err: r.ctx.Err()}
 		return nil
-	}
-	if r.kind == reqDetect && e.opts.BatchSize > 1 {
-		return e.processBatch(r, ws)
 	}
 	snap := e.snap.Load()
 	if snap == nil {
@@ -376,87 +357,6 @@ func (e *Engine) answer(snap *Snapshot, r *request, ws *gnn.Workspace) (resp res
 	default:
 		return response{verdict: snap.DetectWith(ws, r.g), seq: snap.Seq()}, nil
 	}
-}
-
-// detectBatch runs one batched forward pass inside the panic-recovery
-// guard.
-func (e *Engine) detectBatch(snap *Snapshot, gs []*graph.Graph) (vs []Verdict, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			e.m.panics.Inc()
-			err = fmt.Errorf("%w: %v", ErrPanicked, v)
-		}
-	}()
-	if h := e.opts.FaultHook; h != nil {
-		h("infer")
-	}
-	return snap.DetectBatch(gs), nil
-}
-
-// processBatch drains up to BatchSize−1 further detect requests with the
-// same node count arriving within BatchWindow, then answers the whole
-// batch with one DetectBatch pass. Requests that do not fit the batch
-// (explain, different shape) are answered individually afterwards by the
-// same worker. Every held request is answered even when a pass panics.
-func (e *Engine) processBatch(first *request, ws *gnn.Workspace) error {
-	batch := []*request{first}
-	var leftover []*request
-	shape := first.g.N()
-	timer := time.NewTimer(e.opts.batchWindow())
-	defer timer.Stop()
-fill:
-	for len(batch) < e.opts.BatchSize {
-		select {
-		case r := <-e.reqs:
-			if r.ctx != nil && r.ctx.Err() != nil {
-				r.done <- response{err: r.ctx.Err()}
-				continue
-			}
-			if r.kind == reqDetect && r.g.N() == shape {
-				batch = append(batch, r)
-			} else {
-				leftover = append(leftover, r)
-			}
-		case <-timer.C:
-			break fill
-		case <-e.stop:
-			// Shutting down: fail everything we hold.
-			for _, r := range append(batch, leftover...) {
-				r.done <- response{err: ErrClosed}
-			}
-			return nil
-		}
-	}
-	e.m.batchSize.Observe(float64(len(batch)))
-	var failErr error
-	snap := e.snap.Load()
-	if snap == nil {
-		for _, r := range batch {
-			r.done <- response{err: ErrNotReady}
-		}
-	} else {
-		gs := make([]*graph.Graph, len(batch))
-		for i, r := range batch {
-			gs[i] = r.g
-		}
-		verdicts, err := e.detectBatch(snap, gs)
-		if err != nil {
-			failErr = err
-			for _, r := range batch {
-				r.done <- response{err: err}
-			}
-		} else {
-			for i, r := range batch {
-				r.done <- response{verdict: verdicts[i], seq: snap.Seq()}
-			}
-		}
-	}
-	for _, r := range leftover {
-		if err := e.process(r, ws); err != nil && failErr == nil {
-			failErr = err
-		}
-	}
-	return failErr
 }
 
 // ageTicker keeps the snapshot-age gauge current between publishes.

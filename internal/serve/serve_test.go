@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -48,7 +47,14 @@ var searchCfg = explain.DefaultSearchConfig(7)
 func TestSnapshotFrozenAgainstTraining(t *testing.T) {
 	det, drf, gs := fixture(5)
 	snap := NewSnapshot(1, det, drf, searchCfg)
-	before := snap.DetectBatch(gs)
+	detectAll := func() []Verdict {
+		out := make([]Verdict, len(gs))
+		for i, g := range gs {
+			out[i] = snap.Detect(g)
+		}
+		return out
+	}
+	before := detectAll()
 
 	// Clobber everything the snapshot was built from: fresh random weights,
 	// a reversed-label classifier refit, and drift stats from junk.
@@ -67,7 +73,7 @@ func TestSnapshotFrozenAgainstTraining(t *testing.T) {
 		}
 	}
 
-	after := snap.DetectBatch(gs)
+	after := detectAll()
 	if !reflect.DeepEqual(before, after) {
 		t.Fatalf("snapshot verdicts changed after retraining the originals:\nbefore %+v\nafter  %+v",
 			before[:2], after[:2])
@@ -89,19 +95,6 @@ func TestSnapshotMatchesSourceBitIdentically(t *testing.T) {
 		z := gnn.Embed(det.Model, g)
 		if got.DriftScore != drf.Anomaly(z) {
 			t.Fatalf("graph %d: drift score diverged", i)
-		}
-	}
-}
-
-// TestDetectBatchMatchesSingle pins the micro-batching contract: a batched
-// pass must be bit-identical to per-graph detection.
-func TestDetectBatchMatchesSingle(t *testing.T) {
-	det, drf, gs := fixture(11)
-	snap := NewSnapshot(1, det, drf, searchCfg)
-	batch := snap.DetectBatch(gs)
-	for i, g := range gs {
-		if single := snap.Detect(g); single != batch[i] {
-			t.Fatalf("graph %d: batch verdict %+v != single %+v", i, batch[i], single)
 		}
 	}
 }
@@ -213,60 +206,6 @@ func TestSwapMidStormNeverTears(t *testing.T) {
 	// After the swap every new request must see model B.
 	if _, seq, err := e.Detect(context.Background(), g); err != nil || seq != 2 {
 		t.Fatalf("post-swap request: seq %d err %v, want seq 2", seq, err)
-	}
-}
-
-// TestEngineBatchingCorrectUnderLoad floods a batching engine and checks
-// every verdict is bit-identical to the unbatched path, and that batches
-// actually formed.
-func TestEngineBatchingCorrectUnderLoad(t *testing.T) {
-	det, drf, gs := fixture(29)
-	snap := NewSnapshot(1, det, drf, searchCfg)
-	// The queue should hold the whole storm: this test is about batching,
-	// not overload. Size it generously; under -race the workers run slowly
-	// enough that a legal ErrOverloaded shed is still possible, so callers
-	// below back off and retry as real clients would.
-	e := NewEngine(Options{Workers: 2, BatchSize: 8, BatchWindow: 5 * time.Millisecond,
-		QueueDepth: 256})
-	defer e.Close()
-	e.Publish(snap)
-
-	// Mixed shapes: batches must group by node count yet answer everything.
-	want := make([]Verdict, len(gs))
-	for i, g := range gs {
-		want[i] = snap.Detect(g)
-	}
-	const rounds = 6
-	var wg sync.WaitGroup
-	errs := make(chan error, rounds*len(gs))
-	for r := 0; r < rounds; r++ {
-		for i := range gs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				var v Verdict
-				var err error
-				for attempt := 0; attempt < 50; attempt++ {
-					v, _, err = e.Detect(context.Background(), gs[i])
-					if !errors.Is(err, ErrOverloaded) {
-						break
-					}
-					time.Sleep(time.Millisecond)
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
-				if v != want[i] {
-					errs <- fmt.Errorf("graph %d: batched verdict %+v != %+v", i, v, want[i])
-				}
-			}(i)
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
 	}
 }
 
